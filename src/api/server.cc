@@ -600,6 +600,7 @@ Result<ExecutionResult> Server::HandleRequest(
                           options_.session.parallelism);
     executor.set_fusion_enabled(options_.session.shared_scan_fusion);
     executor.set_node_parallel(options_.session.node_parallelism);
+    executor.set_force_scalar(options_.session.force_scalar);
     const bool per_plan_gate = options_.session.max_exec_storage_bytes > 0;
     if (per_plan_gate || governor_ != nullptr) {
       executor.set_storage_budget(
@@ -657,6 +658,7 @@ Status Server::ServeCacheEdge(const BaseSnapshot& snap,
     ExecContext ctx;
     QueryExecutor exec(&ctx, options_.session.scan_mode,
                        options_.session.parallelism);
+    exec.set_force_scalar(options_.session.force_scalar);
     Result<GroupByQuery> query =
         BuildGroupByOver(*snap.base, /*input_is_base=*/true, base_->schema(),
                          req.columns, req.aggs);
@@ -669,6 +671,7 @@ Status Server::ServeCacheEdge(const BaseSnapshot& snap,
     }
     out->counters += ctx.counters();
     out->results[req.columns] = *table;
+    out->simd_level = exec.simd_level();
     return Status::OK();
   }
 
@@ -686,6 +689,7 @@ Status Server::ServeCacheEdge(const BaseSnapshot& snap,
   ExecContext ctx;
   QueryExecutor exec(&ctx, options_.session.scan_mode,
                      options_.session.parallelism);
+  exec.set_force_scalar(options_.session.force_scalar);
   Result<GroupByQuery> query = BuildGroupByOver(
       *pinned, /*input_is_base=*/false, base_->schema(), req.columns, req.aggs);
   if (!query.ok()) return query.status();
@@ -695,6 +699,7 @@ Status Server::ServeCacheEdge(const BaseSnapshot& snap,
   cache_->AcceptPinned(req.columns, req.aggs, *table, /*registered=*/false);
   out->counters += ctx.counters();
   out->results[req.columns] = *table;
+  out->simd_level = exec.simd_level();
   return Status::OK();
 }
 

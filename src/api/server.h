@@ -15,10 +15,13 @@
 // request against the pinned views (OptimizerOptions::cached_views) and
 // routes covered requests to them as zero-base-scan serve edges, and the
 // StorageGovernor charges concurrent plans' intermediates and the cache's
-// pinned bytes against one global budget. Results are bit-identical to
-// serial cold execution: a cache hit returns the same rows the plan would
-// have computed, and a superset hit re-aggregates with the executor's own
-// canonical fold.
+// pinned bytes against one global budget. Results match serial cold
+// execution: a cache hit returns the same rows the plan would have
+// computed, and a superset hit re-aggregates with the executor's own
+// canonical fold. COUNT, MIN, MAX and INT64 SUM are bit-identical to cold
+// execution; a DOUBLE SUM may differ in its low bits, because re-aggregating
+// a pinned view adds the same values in a different order than a plan that
+// reads the base relation (floating-point addition is not associative).
 #ifndef GBMQO_API_SERVER_H_
 #define GBMQO_API_SERVER_H_
 

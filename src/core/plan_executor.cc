@@ -1298,6 +1298,7 @@ Result<ExecutionResult> PlanExecutor::Execute(
   runner.FoldInto(&out);
   out.wall_seconds = timer.ElapsedSeconds();
   out.peak_temp_bytes = catalog_->peak_temp_bytes();
+  out.simd_level = EffectiveSimdLevel(force_scalar_);
   return out;
 }
 

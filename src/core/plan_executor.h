@@ -49,6 +49,9 @@ struct ExecutionResult {
   /// k = after the k-th applied append batch. Always 0 from a bare
   /// PlanExecutor, which has no ingestion.
   uint64_t base_version = 0;
+  /// SIMD tier the executors ran at (scalar under force_scalar). The
+  /// serving layer reports the tier of its cache-edge executors too.
+  SimdLevel simd_level = DetectedSimdLevel();
 };
 
 /// Builds the executor-level query `SELECT base_cols, aggs GROUP BY

@@ -26,6 +26,7 @@
 #ifndef GBMQO_EXEC_AGG_KERNEL_H_
 #define GBMQO_EXEC_AGG_KERNEL_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -111,6 +112,37 @@ class BlockKeyFiller {
   /// exactly the layout KeyBuilder::FillKey produces (codes, then a
   /// null-mask word when track_nulls).
   void FillMultiWord(size_t begin, size_t count, uint64_t* out);
+
+  /// Hash kernels (every rung but dense): FillMultiWord for kMultiWord
+  /// plans, else FillPacked — key_width words per row either way.
+  void FillHashKeys(size_t begin, size_t count, uint64_t* out) {
+    if (plan_->kernel == AggKernel::kMultiWord) {
+      FillMultiWord(begin, count, out);
+    } else {
+      FillPacked(begin, count, out);
+    }
+  }
+
+  /// Calls sink(key) for rows [0, rows) in order, filling one block at a
+  /// time: a one-word key on the dense (its slot) and packed rungs,
+  /// key_width words on the multi-word rung.
+  template <typename Sink>
+  void ForEachKey(size_t rows, Sink sink) {
+    const bool dense = plan_->kernel == AggKernel::kDenseArray;
+    const size_t width = dense ? 1 : static_cast<size_t>(plan_->key_width);
+    std::vector<uint32_t> slots(dense ? kBlockRows : 0);
+    std::vector<uint64_t> keys(kBlockRows * width);
+    for (size_t begin = 0; begin < rows; begin += kBlockRows) {
+      const size_t count = std::min(kBlockRows, rows - begin);
+      if (dense) {
+        FillDense(begin, count, slots.data());
+        std::copy_n(slots.begin(), count, keys.begin());
+      } else {
+        FillHashKeys(begin, count, keys.data());
+      }
+      for (size_t i = 0; i < count; ++i) sink(keys.data() + i * width);
+    }
+  }
 
  private:
   const AggKernelPlan* plan_;

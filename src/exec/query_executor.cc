@@ -880,11 +880,7 @@ std::vector<uint8_t> RebuildShardPartition(const Table& input,
             buf.insert(buf.end(), rp, rp + 4);
           }
         } else {
-          if (kplan.kernel == AggKernel::kMultiWord) {
-            filler.FillMultiWord(begin, count, keys.data());
-          } else {
-            filler.FillPacked(begin, count, keys.data());
-          }
+          filler.FillHashKeys(begin, count, keys.data());
           for (size_t i = 0; i < count; ++i) {
             const uint64_t* keyp = keys.data() + i * kw;
             if (GroupHashTable::PartitionOfHash(
@@ -976,11 +972,7 @@ Result<TablePtr> RunHashSpill(const Table& input, const GroupByQuery& query,
               if (buf.size() >= kFlushBytes) flush(p);
             }
           } else {
-            if (kplan.kernel == AggKernel::kMultiWord) {
-              filler.FillMultiWord(begin, count, keys.data());
-            } else {
-              filler.FillPacked(begin, count, keys.data());
-            }
+            filler.FillHashKeys(begin, count, keys.data());
             for (size_t i = 0; i < count; ++i) {
               const uint64_t* keyp = keys.data() + i * kw;
               const int p = GroupHashTable::PartitionOfHash(

@@ -1,47 +1,54 @@
 #include "stats/distinct_estimator.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
+#include "exec/agg_kernel.h"
 #include "exec/group_hash_table.h"
 
 namespace gbmqo {
 
 namespace {
 
-/// Fills the group key for `row` over `cols` into `key` (width =
-/// cols.size() + 1; last word is the null mask). Mirrors the executor's key
-/// semantics so counts agree exactly.
-void FillKey(const Table& table, const std::vector<int>& cols, size_t row,
-             uint64_t* key) {
-  uint64_t null_mask = 0;
-  for (size_t c = 0; c < cols.size(); ++c) {
-    const Column& col = table.column(cols[c]);
-    if (col.IsNull(row)) {
-      null_mask |= 1ULL << c;
-      key[c] = 0;
-    } else {
-      key[c] = col.CodeAt(row);
-    }
-  }
-  key[cols.size()] = null_mask;
+/// Row count of every group of `table` over `plan`'s columns, in
+/// first-seen order. Keys are formed exactly as the executor forms them
+/// (BlockKeyFiller), so counts match aggregation. The hash table is
+/// presized for min(rows, key domain) groups (multi-word: > 2^64 keys).
+std::vector<uint64_t> GroupSizes(const Table& table, const AggKernelPlan& plan) {
+  const bool multi = plan.kernel == AggKernel::kMultiWord;
+  uint64_t domain = multi || plan.total_bits >= 64 ? UINT64_MAX
+                                                   : 1ull << plan.total_bits;
+  if (plan.kernel == AggKernel::kDenseArray) domain = plan.dense_capacity;
+  const uint64_t bound = std::min<uint64_t>(table.num_rows(), domain);
+  GroupHashTable groups(multi ? plan.key_width : 1, bound + bound / 2);
+  std::vector<uint64_t> sizes;
+  BlockKeyFiller(plan).ForEachKey(table.num_rows(), [&](const uint64_t* key) {
+    const uint32_t id = groups.FindOrInsert(key);
+    if (id == sizes.size()) sizes.push_back(0);
+    ++sizes[id];
+  });
+  return sizes;
 }
 
 }  // namespace
 
 uint64_t ExactDistinctCount(const Table& table, ColumnSet columns) {
   if (columns.empty()) return table.num_rows() > 0 ? 1 : 0;
-  const std::vector<int> cols = columns.ToVector();
-  const int kw = static_cast<int>(cols.size()) + 1;
-  GroupHashTable groups(kw, table.num_rows() / 8 + 16);
-  std::vector<uint64_t> key(static_cast<size_t>(kw));
-  for (size_t row = 0; row < table.num_rows(); ++row) {
-    FillKey(table, cols, row, key.data());
-    groups.FindOrInsert(key.data());
+  const AggKernelPlan plan = PlanAggKernel(table, columns);
+  if (plan.kernel != AggKernel::kDenseArray) {
+    return GroupSizes(table, plan).size();
   }
-  return groups.size();
+  // Dense: one bit per slot of the mixed-radix domain, counted by popcount.
+  std::vector<uint64_t> seen(plan.dense_capacity / 64);
+  BlockKeyFiller(plan).ForEachKey(table.num_rows(), [&](const uint64_t* slot) {
+    seen[*slot >> 6] |= 1ull << (*slot & 63);
+  });
+  uint64_t distinct = 0;
+  for (uint64_t word : seen) distinct += std::popcount(word);
+  return distinct;
 }
 
 uint64_t GeeEstimateFromSample(const Table& sample, ColumnSet columns,
@@ -49,23 +56,14 @@ uint64_t GeeEstimateFromSample(const Table& sample, ColumnSet columns,
   const uint64_t sample_size = sample.num_rows();
   if (sample_size == 0) return 0;
   if (columns.empty()) return total_rows > 0 ? 1 : 0;
-  const std::vector<int> cols = columns.ToVector();
-  const int kw = static_cast<int>(cols.size()) + 1;
-  GroupHashTable groups(kw, sample_size / 4 + 16);
-  std::vector<uint64_t> occurrences;  // per group id, sample frequency
-  std::vector<uint64_t> key(static_cast<size_t>(kw));
-  for (size_t row = 0; row < sample_size; ++row) {
-    FillKey(sample, cols, row, key.data());
-    const uint32_t id = groups.FindOrInsert(key.data());
-    if (id == occurrences.size()) occurrences.push_back(0);
-    occurrences[id] += 1;
-  }
+  const std::vector<uint64_t> occurrences =
+      GroupSizes(sample, PlanAggKernel(sample, columns));
   uint64_t f1 = 0, f2 = 0;
   for (uint64_t occ : occurrences) {
     if (occ == 1) ++f1;
     if (occ == 2) ++f2;
   }
-  const double d_sample = static_cast<double>(groups.size());
+  const double d_sample = static_cast<double>(occurrences.size());
   // GEE (Charikar et al.): sqrt-scale-up of the singletons. Worst-case
   // optimal, but it systematically *underestimates* near-unique columns —
   // which would trick the optimizer into materializing near-|R|
@@ -80,7 +78,7 @@ uint64_t GeeEstimateFromSample(const Table& sample, ColumnSet columns,
   if (f2 > 0) {
     chao = d_sample + static_cast<double>(f1) * static_cast<double>(f1) /
                           (2.0 * static_cast<double>(f2));
-  } else if (f1 + 0 == groups.size() && f1 > 0) {
+  } else if (f1 == occurrences.size() && f1 > 0) {
     // Every sampled value unique and none repeated: the domain is at least
     // on the order of the relation; scale up linearly.
     chao = static_cast<double>(total_rows);

@@ -145,6 +145,14 @@ void Column::AppendFrom(const Column& other, size_t row) {
 void Column::AppendRangeFrom(const Column& other, size_t begin, size_t count) {
   assert(other.type_ == type_);
   if (count == 0) return;
+  if (rows_ == 0 && begin == 0 && count == other.rows_) {
+    // Whole column into an empty one (copy-on-append ingestion): the
+    // row-by-row result would equal `other`, dictionary codes included, so
+    // copy its state wholesale instead of re-interning every string. The
+    // vectors keep any capacity already reserved here.
+    *this = other;
+    return;
+  }
   Reserve(rows_ + count);
   // The slow path handles NULLs and string re-interning row by row; the
   // numeric no-NULL case is the one worth making a bulk copy.

@@ -48,7 +48,9 @@ class Column {
   /// required). Equivalent to count AppendFrom calls but copies the typed
   /// value arrays wholesale, so the copy-on-append ingestion path
   /// (storage/ingest.h) pays memcpy rates instead of per-row dispatch.
-  /// Strings still intern per row (the dictionaries differ).
+  /// Strings intern per row (the dictionaries differ), except when the
+  /// whole of `other` goes into an empty column: then its dictionary is
+  /// copied as is.
   void AppendRangeFrom(const Column& other, size_t begin, size_t count);
 
   /// Reserves space for n rows.

@@ -255,5 +255,48 @@ TEST(ColumnCodeRangeTest, CodeBlockMatchesCodeAt) {
   }
 }
 
+// A whole column copied into an empty one takes the source's state as is;
+// it must read exactly like the row-by-row copy, before and after further
+// appends.
+TEST(ColumnAppendRangeTest, WholeColumnCopyMatchesRowByRow) {
+  for (const DataType type :
+       {DataType::kInt64, DataType::kDouble, DataType::kString}) {
+    Column src(type), extra(type);
+    const auto fill = [type](Column* col, int row) {
+      if (row % 7 == 3) {
+        col->AppendNull();
+      } else if (type == DataType::kInt64) {
+        col->AppendInt64(row % 5 - 2);
+      } else if (type == DataType::kDouble) {
+        col->AppendDouble(row % 4 == 0 ? -0.0 : row * 0.5);
+      } else {
+        col->AppendString("value " + std::to_string(row % 6));
+      }
+    };
+    for (int row = 0; row < 150; ++row) fill(&src, row);
+    for (int row = 150; row < 170; ++row) fill(&extra, row);
+
+    Column bulk(type), rows(type);
+    bulk.Reserve(src.size() + extra.size());
+    bulk.AppendRangeFrom(src, 0, src.size());
+    bulk.AppendRangeFrom(extra, 0, extra.size());
+    for (size_t r = 0; r < src.size(); ++r) rows.AppendFrom(src, r);
+    for (size_t r = 0; r < extra.size(); ++r) rows.AppendFrom(extra, r);
+
+    ASSERT_EQ(bulk.size(), rows.size());
+    EXPECT_EQ(bulk.null_count(), rows.null_count());
+    EXPECT_EQ(bulk.dict_size(), rows.dict_size());
+    EXPECT_EQ(bulk.CodeRangeMin(), rows.CodeRangeMin());
+    EXPECT_EQ(bulk.CodeRange(), rows.CodeRange());
+    EXPECT_EQ(bulk.ByteSize(), rows.ByteSize());
+    for (size_t r = 0; r < rows.size(); ++r) {
+      ASSERT_EQ(bulk.IsNull(r), rows.IsNull(r)) << "row " << r;
+      if (rows.IsNull(r)) continue;
+      EXPECT_EQ(bulk.CodeAt(r), rows.CodeAt(r)) << "row " << r;
+      EXPECT_EQ(bulk.ValueAt(r), rows.ValueAt(r)) << "row " << r;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace gbmqo

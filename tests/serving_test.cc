@@ -178,6 +178,63 @@ TEST(ServingTest, SupersetViewServedByReaggregation) {
   ExpectSameResults(*direct, *singles);
 }
 
+TEST(ServingTest, ForceScalarReachesEveryExecutionPath) {
+  ServerOptions forced;
+  forced.session.force_scalar = true;
+  const char* pair = "((l_returnflag, l_linestatus))";
+  const char* singles = "SINGLE(l_returnflag, l_linestatus)";
+
+  // Plan path; an unforced server reports the detected tier instead.
+  Server plain(SmallLineitem());
+  auto unforced = plain.Execute(pair);
+  ASSERT_TRUE(unforced.ok()) << unforced.status().ToString();
+  EXPECT_EQ(unforced->simd_level, DetectedSimdLevel());
+  Server server(SmallLineitem(), forced);
+  auto planned = server.Execute(pair);
+  ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+  EXPECT_EQ(planned->simd_level, SimdLevel::kScalar);
+
+  // Superset hit: both singles re-aggregate the pinned pair view, with no
+  // plan executor involved.
+  auto superset = server.Execute(singles);
+  ASSERT_TRUE(superset.ok()) << superset.status().ToString();
+  EXPECT_EQ(superset->counters.cache_hits, 2u);
+  EXPECT_EQ(superset->simd_level, SimdLevel::kScalar);
+
+  // Evicted-edge fallback: (l_returnflag) is costed against the pinned pair
+  // view, but the plan's own (l_shipdate) result is admitted first and, with
+  // room for only one of the two, evicts the view before the edge is
+  // served. Entry sizes come from a probe server with the default budget.
+  Server probe(SmallLineitem());
+  ASSERT_TRUE(probe.Execute(pair).ok());
+  const uint64_t view_bytes = probe.cache()->pinned_bytes();
+  ASSERT_TRUE(probe.Execute("((l_shipdate))").ok());
+  const uint64_t shipdate_bytes = probe.cache()->pinned_bytes() - view_bytes;
+  ASSERT_GT(view_bytes, 1u);
+  const char* mixed = "(l_returnflag), (l_shipdate)";
+  // With room for both, the edge is a hit and (l_shipdate) a plan miss.
+  Server roomy(SmallLineitem(), forced);
+  ASSERT_TRUE(roomy.Execute(pair).ok());
+  auto hit = roomy.Execute(mixed);
+  ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+  EXPECT_EQ(hit->counters.cache_hits, 1u);
+  EXPECT_EQ(hit->counters.cache_misses, 1u);
+  forced.cache_budget_bytes =
+      static_cast<double>(shipdate_bytes + view_bytes / 2);
+  Server tight(SmallLineitem(), forced);
+  ASSERT_TRUE(tight.Execute(pair).ok());
+  auto fallback = tight.Execute(mixed);
+  ASSERT_TRUE(fallback.ok()) << fallback.status().ToString();
+  EXPECT_EQ(fallback->counters.cache_hits, 0u);
+  EXPECT_EQ(fallback->counters.cache_misses, 2u);  // plan miss + fallback
+  EXPECT_EQ(fallback->simd_level, SimdLevel::kScalar);
+
+  Session session(SmallLineitem());
+  auto direct = session.Execute(mixed);
+  ASSERT_TRUE(direct.ok());
+  ExpectSameResults(*direct, *fallback);
+}
+
 TEST(ServingTest, CoalescingSharesOneExecution) {
   ServerOptions options;
   options.pool_size = 1;  // deterministic: the worker is busy with `head`
