@@ -6,15 +6,23 @@
 namespace gbmqo {
 
 AggKernelPlan PlanAggKernel(const Table& input, ColumnSet grouping,
-                            AggKernel preferred) {
+                            AggKernel preferred, const ColumnDomain* domains,
+                            uint64_t dense_budget) {
   AggKernelPlan plan;
   for (int ordinal : grouping.ToVector()) {
     const Column& col = input.column(ordinal);
     KernelColumn kc;
     kc.col = &col;
-    kc.code_min = col.CodeRangeMin();
-    kc.bits = col.CodeBits();
-    kc.nullable = col.has_nulls();
+    if (domains != nullptr && domains[ordinal].ids != nullptr) {
+      kc.ids = domains[ordinal].ids;
+      kc.range = domains[ordinal].radix - 1;
+      kc.bits = static_cast<int>(std::bit_width(kc.range));
+    } else {
+      kc.code_min = col.CodeRangeMin();
+      kc.range = col.CodeRange();
+      kc.bits = col.CodeBits();
+      kc.nullable = col.has_nulls();
+    }
     if (kc.nullable) plan.track_nulls = true;
     plan.cols.push_back(kc);
   }
@@ -26,17 +34,16 @@ AggKernelPlan PlanAggKernel(const Table& input, ColumnSet grouping,
     // Dense eligibility: the mixed-radix product of per-column domains must
     // fit the slot budget. Bail on any factor >= budget before forming
     // radix = range + 1 (+ NULL slot), so nothing here can overflow: every
-    // partial product and factor stays <= kDenseSlotBudget + 1 < 2^32.
+    // partial product and factor stays <= dense_budget + 1 < 2^32.
     uint64_t slots = 1;
     bool ok = true;
     for (const KernelColumn& kc : plan.cols) {
-      const uint64_t range = kc.col->CodeRange();
-      if (range >= kDenseSlotBudget) {
+      if (kc.range >= dense_budget) {
         ok = false;
         break;
       }
-      slots *= range + 1 + (kc.nullable ? 1 : 0);
-      if (slots > kDenseSlotBudget) {
+      slots *= kc.range + 1 + (kc.nullable ? 1 : 0);
+      if (slots > dense_budget) {
         ok = false;
         break;
       }
@@ -45,8 +52,8 @@ AggKernelPlan PlanAggKernel(const Table& input, ColumnSet grouping,
       plan.kernel = AggKernel::kDenseArray;
       uint32_t stride = 1;
       for (KernelColumn& kc : plan.cols) {
-        kc.radix = static_cast<uint32_t>(kc.col->CodeRange() + 1 +
-                                         (kc.nullable ? 1 : 0));
+        kc.radix =
+            static_cast<uint32_t>(kc.range + 1 + (kc.nullable ? 1 : 0));
         kc.stride = stride;
         stride *= kc.radix;
       }
@@ -107,7 +114,7 @@ void BlockKeyFiller::FillPacked(size_t begin, size_t count, uint64_t* out) {
   std::fill(out, out + count, 0);
   for (const KernelColumn& kc : plan_->cols) {
     if (kc.bits == 0 && !kc.nullable) continue;  // single-valued: no bits
-    kc.col->CodeBlock(begin, count, codes_.data());
+    LoadCodes(kc, begin, count);
     const uint64_t min = kc.code_min;
     const int shift = kc.shift;
     if (!kc.nullable) {
@@ -143,7 +150,7 @@ void BlockKeyFiller::FillPacked(size_t begin, size_t count, uint64_t* out) {
 void BlockKeyFiller::FillDense(size_t begin, size_t count, uint32_t* out) {
   std::fill(out, out + count, 0);
   for (const KernelColumn& kc : plan_->cols) {
-    kc.col->CodeBlock(begin, count, codes_.data());
+    LoadCodes(kc, begin, count);
     const uint64_t min = kc.code_min;
     const uint32_t stride = kc.stride;
     if (!kc.nullable) {
@@ -183,7 +190,7 @@ void BlockKeyFiller::FillMultiWord(size_t begin, size_t count, uint64_t* out) {
   const size_t ncols = plan_->cols.size();
   for (size_t c = 0; c < ncols; ++c) {
     const KernelColumn& kc = plan_->cols[c];
-    kc.col->CodeBlock(begin, count, codes_.data());
+    LoadCodes(kc, begin, count);
     if (!kc.nullable) {
       for (size_t i = 0; i < count; ++i) {
         out[i * kw + c] = codes_[i];

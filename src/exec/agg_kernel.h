@@ -23,6 +23,9 @@
 // thread count — so all WorkCounters stay bit-identical across parallelism.
 // BlockKeyFiller then builds keys/slots in 1024-row column-major blocks with
 // one type dispatch per column per block instead of one per row.
+// Statistics may pass compacted column domains (ColumnDomain) to key on
+// instead of raw codes; execution never does, so its kernel choice and work
+// counters stay a function of the input's code ranges alone.
 #ifndef GBMQO_EXEC_AGG_KERNEL_H_
 #define GBMQO_EXEC_AGG_KERNEL_H_
 
@@ -51,10 +54,20 @@ inline constexpr uint64_t kDenseSlotBudget = 1ull << 18;
 /// plans price the kernel the executor will actually run.
 inline constexpr uint64_t kSortCrossoverGroups = 1ull << 20;
 
+/// A compacted code domain for one column: a dense id per row in
+/// [0, radix), keyed on in place of the column's codes. The ids carry NULL
+/// as one more id, so a column keyed this way is NULL-free to the kernels.
+struct ColumnDomain {
+  const uint32_t* ids = nullptr;  ///< nullptr: key on the column's codes
+  uint32_t radix = 0;             ///< number of distinct ids
+};
+
 /// Per-grouping-column packing/indexing parameters.
 struct KernelColumn {
   const Column* col = nullptr;
+  const uint32_t* ids = nullptr;  ///< compacted domain ids, read for codes
   uint64_t code_min = 0;  ///< offset subtracted from every code
+  uint64_t range = 0;     ///< largest offset code (Column::CodeRange)
   int bits = 0;           ///< exact value bit-width (Column::CodeBits)
   int shift = 0;          ///< packed: bit position of the value field
   int null_bit = -1;      ///< packed: bit position of the NULL flag (-1: none)
@@ -80,9 +93,14 @@ struct AggKernelPlan {
 /// and pins the hash side of the crossover, kSortRuns pins the sort side
 /// (packed-eligible inputs only), kMultiWord forces the general kernel.
 /// An ineligible preference falls through to the next rung, so forcing is
-/// always safe.
+/// always safe. `domains`, when given, holds one entry per input column (by
+/// ordinal); a column whose entry has ids keys on them, with range
+/// radix - 1 and no NULL slot. `dense_budget` (<= 2^31) caps the dense
+/// rung's slot count.
 AggKernelPlan PlanAggKernel(const Table& input, ColumnSet grouping,
-                            AggKernel preferred = AggKernel::kDenseArray);
+                            AggKernel preferred = AggKernel::kDenseArray,
+                            const ColumnDomain* domains = nullptr,
+                            uint64_t dense_budget = kDenseSlotBudget);
 
 /// Builds group keys (or dense slots) for row blocks, column-major: per
 /// block, each grouping column is read through one Column::CodeBlock call
@@ -123,28 +141,16 @@ class BlockKeyFiller {
     }
   }
 
-  /// Calls sink(key) for rows [0, rows) in order, filling one block at a
-  /// time: a one-word key on the dense (its slot) and packed rungs,
-  /// key_width words on the multi-word rung.
-  template <typename Sink>
-  void ForEachKey(size_t rows, Sink sink) {
-    const bool dense = plan_->kernel == AggKernel::kDenseArray;
-    const size_t width = dense ? 1 : static_cast<size_t>(plan_->key_width);
-    std::vector<uint32_t> slots(dense ? kBlockRows : 0);
-    std::vector<uint64_t> keys(kBlockRows * width);
-    for (size_t begin = 0; begin < rows; begin += kBlockRows) {
-      const size_t count = std::min(kBlockRows, rows - begin);
-      if (dense) {
-        FillDense(begin, count, slots.data());
-        std::copy_n(slots.begin(), count, keys.begin());
-      } else {
-        FillHashKeys(begin, count, keys.data());
-      }
-      for (size_t i = 0; i < count; ++i) sink(keys.data() + i * width);
+ private:
+  /// codes_[0..count) = kc's codes (or domain ids) for rows from begin.
+  void LoadCodes(const KernelColumn& kc, size_t begin, size_t count) {
+    if (kc.ids != nullptr) {
+      std::copy_n(kc.ids + begin, count, codes_.data());
+    } else {
+      kc.col->CodeBlock(begin, count, codes_.data());
     }
   }
 
- private:
   const AggKernelPlan* plan_;
   SimdLevel simd_;
   std::vector<uint64_t> codes_;  // scratch: one column's codes for a block

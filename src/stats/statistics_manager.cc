@@ -16,20 +16,19 @@ const ColumnSetStats& StatisticsManager::Get(ColumnSet columns) {
   if (columns.empty()) {
     stats.distinct_count = table_.num_rows() > 0 ? 1 : 0;
     stats.row_width = 0;
-  } else if (mode_ == DistinctMode::kExact ||
-             sample_size_ >= table_.num_rows()) {
-    stats.distinct_count =
-        static_cast<double>(ExactDistinctCount(table_, columns));
-    stats.row_width = table_.AvgRowWidth(columns);
   } else {
-    if (sample_ == nullptr) {
-      Result<TablePtr> sample = BuildRowSample(table_, sample_size_);
-      if (sample.ok()) sample_ = *sample;
+    if (domains_ == nullptr) {
+      if (mode_ == DistinctMode::kSampled && sample_size_ < table_.num_rows()) {
+        Result<TablePtr> sample = BuildRowSample(table_, sample_size_);
+        if (sample.ok()) sample_ = *sample;
+      }
+      domains_ = std::make_unique<ColumnDomains>(
+          sample_ != nullptr ? *sample_ : table_);
     }
     stats.distinct_count = static_cast<double>(
         sample_ != nullptr
-            ? GeeEstimateFromSample(*sample_, columns, table_.num_rows())
-            : ExactDistinctCount(table_, columns));
+            ? GeeEstimateFromSample(*domains_, columns, table_.num_rows())
+            : ExactDistinctCount(*domains_, columns));
     stats.row_width = table_.AvgRowWidth(columns);
   }
   creation_seconds_ += timer.ElapsedSeconds();

@@ -17,6 +17,7 @@
 #define GBMQO_STATS_STATISTICS_MANAGER_H_
 
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <unordered_map>
 
@@ -68,7 +69,7 @@ class StatisticsManager {
   const Table& table() const { return table_; }
 
  private:
-  mutable std::mutex mu_;  ///< guards cache_, sample_ and the counters
+  mutable std::mutex mu_;  ///< guards cache_, sample_, domains_, counters
   const Table& table_;
   DistinctMode mode_;
   uint64_t sample_size_;
@@ -78,6 +79,10 @@ class StatisticsManager {
   /// multiple statistics from one sample"). Built lazily; its build time is
   /// included in creation_seconds_.
   TablePtr sample_;
+  /// Compacted column domains of the source every count reads (the table
+  /// in exact mode, sample_ in sampled mode), shared by all its statistics
+  /// and built lazily, per column, on the first statistic needing one.
+  std::unique_ptr<ColumnDomains> domains_;
   uint64_t statistics_created_ = 0;
   double creation_seconds_ = 0;
 };

@@ -70,6 +70,16 @@ struct Cursor {
     pos += len;
     return true;
   }
+  /// Copies n values of T into an aligned array: the buffer carries no
+  /// alignment, so payloads are never read through a T* into it.
+  template <typename T>
+  bool GetArray(size_t n, std::vector<T>* out) {
+    if (!Has(n * sizeof(T))) return false;
+    out->resize(n);
+    if (n > 0) std::memcpy(out->data(), data + pos, n * sizeof(T));
+    pos += n * sizeof(T);
+    return true;
+  }
 };
 
 Status Truncated(const char* what) {
@@ -157,22 +167,18 @@ Result<TablePtr> DecodeTable(Cursor* cur) {
   for (uint32_t c = 0; c < ncols; ++c) {
     uint8_t has_nulls = 0;
     if (!cur->Get(&has_nulls)) return Truncated("null flag");
-    const uint64_t* nulls = nullptr;
-    if (has_nulls != 0) {
-      if (!cur->Has(nwords * 8)) return Truncated("null bitmap");
-      nulls = reinterpret_cast<const uint64_t*>(cur->data + cur->pos);
-      cur->pos += nwords * 8;
+    std::vector<uint64_t> nulls;
+    if (has_nulls != 0 && !cur->GetArray(nwords, &nulls)) {
+      return Truncated("null bitmap");
     }
     Column* col = builder.column(static_cast<int>(c));
     auto is_null = [&](uint64_t r) {
-      return nulls != nullptr && ((nulls[r >> 6] >> (r & 63)) & 1) != 0;
+      return !nulls.empty() && ((nulls[r >> 6] >> (r & 63)) & 1) != 0;
     };
     switch (defs[c].type) {
       case DataType::kInt64: {
-        if (!cur->Has(rows * 8)) return Truncated("int64 payload");
-        const int64_t* vals =
-            reinterpret_cast<const int64_t*>(cur->data + cur->pos);
-        cur->pos += rows * 8;
+        std::vector<int64_t> vals;
+        if (!cur->GetArray(rows, &vals)) return Truncated("int64 payload");
         for (uint64_t r = 0; r < rows; ++r) {
           if (is_null(r)) {
             col->AppendNull();
@@ -183,10 +189,8 @@ Result<TablePtr> DecodeTable(Cursor* cur) {
         break;
       }
       case DataType::kDouble: {
-        if (!cur->Has(rows * 8)) return Truncated("double payload");
-        const double* vals =
-            reinterpret_cast<const double*>(cur->data + cur->pos);
-        cur->pos += rows * 8;
+        std::vector<double> vals;
+        if (!cur->GetArray(rows, &vals)) return Truncated("double payload");
         for (uint64_t r = 0; r < rows; ++r) {
           if (is_null(r)) {
             col->AppendNull();
@@ -206,10 +210,8 @@ Result<TablePtr> DecodeTable(Cursor* cur) {
           if (!cur->GetString(&entry)) return Truncated("dictionary entry");
           dict.push_back(std::move(entry));
         }
-        if (!cur->Has(rows * 4)) return Truncated("string codes");
-        const uint32_t* codes =
-            reinterpret_cast<const uint32_t*>(cur->data + cur->pos);
-        cur->pos += rows * 4;
+        std::vector<uint32_t> codes;
+        if (!cur->GetArray(rows, &codes)) return Truncated("string codes");
         for (uint64_t r = 0; r < rows; ++r) {
           if (is_null(r)) {
             col->AppendNull();

@@ -189,6 +189,39 @@ void Column::AppendRangeFrom(const Column& other, size_t begin, size_t count) {
   rows_ += count;
 }
 
+void Column::AppendGather(const Column& other,
+                          const std::vector<size_t>& rows) {
+  assert(other.type_ == type_);
+  Reserve(rows_ + rows.size());
+  const auto gather = [&](auto append_value) {
+    for (size_t r : rows) other.IsNull(r) ? AppendNull() : append_value(r);
+  };
+  switch (type_) {
+    case DataType::kInt64:
+      gather([&](size_t r) { AppendInt64(other.int64_data_[r]); });
+      break;
+    case DataType::kDouble:
+      gather([&](size_t r) { AppendDouble(other.double_data_[r]); });
+      break;
+    case DataType::kString: {
+      // other's code -> this column's, interned on first sight (where
+      // AppendString would first have interned it).
+      std::vector<uint32_t> remap(other.dictionary_.size(), UINT32_MAX);
+      gather([&](size_t r) {
+        const uint32_t src = other.string_codes_[r];
+        if (remap[src] == UINT32_MAX) {
+          remap[src] = InternString(other.dictionary_[src]);
+        }
+        string_codes_.push_back(remap[src]);
+        string_bytes_ += other.dictionary_[src].size();
+        NoteCode(remap[src]);
+        AppendNotNull();
+      });
+      break;
+    }
+  }
+}
+
 void Column::Reserve(size_t n) {
   switch (type_) {
     case DataType::kInt64:

@@ -53,6 +53,11 @@ class Column {
   /// copied as is.
   void AppendRangeFrom(const Column& other, size_t begin, size_t count);
 
+  /// Appends rows[0], rows[1], ... of `other` (same type required); equal
+  /// to one AppendFrom per row, dictionary order included, but with one
+  /// type dispatch per gather and one intern per distinct string.
+  void AppendGather(const Column& other, const std::vector<size_t>& rows);
+
   /// Reserves space for n rows.
   void Reserve(size_t n);
 

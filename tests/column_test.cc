@@ -298,5 +298,47 @@ TEST(ColumnAppendRangeTest, WholeColumnCopyMatchesRowByRow) {
   }
 }
 
+TEST(ColumnAppendGatherTest, GatherMatchesRowByRow) {
+  for (const DataType type :
+       {DataType::kInt64, DataType::kDouble, DataType::kString}) {
+    Column src(type);
+    for (int row = 0; row < 90; ++row) {
+      if (row % 7 == 3) {
+        src.AppendNull();
+      } else if (type == DataType::kInt64) {
+        src.AppendInt64(row % 5 - 2);
+      } else if (type == DataType::kDouble) {
+        src.AppendDouble(row % 4 == 0 ? -0.0 : row * 0.5);
+      } else {
+        src.AppendString(row % 9 == 0 ? "" : "value " + std::to_string(row % 6));
+      }
+    }
+    // Repeats and out-of-order rows, so strings first seen late and NULLs
+    // before any value exercise the dictionary order; a second gather
+    // appends to a non-empty column.
+    const std::vector<size_t> first = {3, 17, 0, 0, 45, 10, 3, 89, 9, 24};
+    const std::vector<size_t> second = {31, 8, 8, 52, 66, 1};
+    Column gathered(type), rows(type);
+    gathered.AppendGather(src, first);
+    gathered.AppendGather(src, second);
+    for (size_t r : first) rows.AppendFrom(src, r);
+    for (size_t r : second) rows.AppendFrom(src, r);
+
+    ASSERT_EQ(gathered.size(), rows.size());
+    EXPECT_EQ(gathered.null_count(), rows.null_count());
+    EXPECT_EQ(gathered.dict_size(), rows.dict_size());
+    EXPECT_EQ(gathered.CodeRangeMin(), rows.CodeRangeMin());
+    EXPECT_EQ(gathered.CodeRange(), rows.CodeRange());
+    EXPECT_EQ(gathered.ByteSize(), rows.ByteSize());
+    for (size_t r = 0; r < rows.size(); ++r) {
+      ASSERT_EQ(gathered.IsNull(r), rows.IsNull(r)) << "row " << r;
+      EXPECT_EQ(gathered.CodeAt(r), rows.CodeAt(r)) << "row " << r;
+      if (!rows.IsNull(r)) {
+        EXPECT_EQ(gathered.ValueAt(r), rows.ValueAt(r)) << "row " << r;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace gbmqo

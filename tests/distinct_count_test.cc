@@ -1,13 +1,18 @@
 // Differential test of the statistics' distinct counter. ExactDistinctCount
 // forms keys with the executor's aggregation-kernel ladder (dense slots,
-// packed words, multi-word keys); here it is compared against a reference
-// that shares no code with it: a std::set of per-row (null flag, CodeAt)
-// tuples. The tables are built so every rung is taken, including a dense
-// NULL slot, a packed key with all 64 bits set, multi-word DOUBLE keys,
-// an all-NULL column and -0.0 next to +0.0 (distinct codes). The sampled
-// estimators are pinned to golden values on fixed seeds.
+// packed words, multi-word keys) over compacted column domains (a dense id
+// per row for DOUBLE and other sparse columns); here it is compared against
+// a reference that shares no code with it: a std::set of per-row (null
+// flag, CodeAt) tuples. The tables are built so every rung is taken,
+// including a dense NULL slot, a packed key with all 64 bits set, an
+// all-NULL column, -0.0 next to +0.0 and two NaN payloads (distinct codes),
+// and compacted products on either side of both dense budgets. GEE over
+// compacted columns is checked against INT64 mirror columns that group the
+// rows identically but key on raw codes, and the sampled estimators are
+// pinned to golden values on fixed seeds.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <set>
@@ -15,6 +20,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "data/tpch_gen.h"
 #include "exec/agg_kernel.h"
 #include "stats/distinct_estimator.h"
 
@@ -207,6 +213,158 @@ TEST(DistinctCountTest, SampledEstimatesMatchGoldens) {
     EXPECT_EQ(gee, g.estimate) << cols.ToString() << " sample " << g.sample;
     EXPECT_EQ(sampled, g.estimate) << cols.ToString() << " sample " << g.sample;
   }
+}
+
+/// Few-valued doubles, each beside an INT64 mirror holding the same row
+/// partition (value index k for the double's k-th value):
+///   0 disc  DOUBLE 0.00..0.10        1 disc_k  INT64 0..10
+///   2 tax   DOUBLE 0.00..0.08        3 tax_k   INT64 0..8
+///   4 nd    DOUBLE of 6, 10% NULL    5 nd_k    INT64 0..5, NULL alike
+///   6 qty   INT64 1..50              7 mode    STRING of 7
+constexpr int kMirrorColumns = 8;
+TablePtr MirrorTable(size_t rows, uint64_t seed) {
+  TableBuilder b(Schema({{"disc", DataType::kDouble, false},
+                         {"disc_k", DataType::kInt64, false},
+                         {"tax", DataType::kDouble, false},
+                         {"tax_k", DataType::kInt64, false},
+                         {"nd", DataType::kDouble, true},
+                         {"nd_k", DataType::kInt64, true},
+                         {"qty", DataType::kInt64, false},
+                         {"mode", DataType::kString, false}}));
+  const std::vector<double> nd = {-1.5, 0.25, 3.0, 1e300, -0.0, 7.5};
+  Rng rng(seed);
+  for (size_t r = 0; r < rows; ++r) {
+    const int64_t disc = static_cast<int64_t>(rng.Uniform(11));
+    const int64_t tax = static_cast<int64_t>(rng.Uniform(9));
+    const bool null = rng.Bernoulli(0.10);
+    const int64_t k = static_cast<int64_t>(rng.Uniform(nd.size()));
+    EXPECT_TRUE(
+        b.AppendRow({Value(static_cast<double>(disc) / 100.0), Value(disc),
+                     Value(static_cast<double>(tax) / 100.0), Value(tax),
+                     null ? Value(Null{}) : Value(nd[static_cast<size_t>(k)]),
+                     null ? Value(Null{}) : Value(k),
+                     Value(static_cast<int64_t>(1 + rng.Uniform(50))),
+                     Value("m" + std::to_string(rng.Uniform(7)))})
+            .ok());
+  }
+  return *b.Build("mirror");
+}
+
+/// `cols` with every double swapped for its INT64 mirror.
+ColumnSet Mirror(ColumnSet cols) {
+  ColumnSet out;
+  for (int c : cols.ToVector()) out = out.With(c < 6 ? (c | 1) : c);
+  return out;
+}
+
+TEST(CompactedDomainTest, FewValuedDoublesMatchReferenceAndMirror) {
+  TablePtr t = MirrorTable(4000, 11);
+  ColumnDomains domains(*t);
+  Result<TablePtr> sample = BuildRowSample(*t, 700, 3);
+  ASSERT_TRUE(sample.ok());
+  ColumnDomains sample_domains(**sample);
+  for (uint64_t mask = 1; mask < (1u << kMirrorColumns); ++mask) {
+    const ColumnSet cols = ColumnSet(mask);
+    const uint64_t exact = ExactDistinctCount(domains, cols);
+    EXPECT_EQ(exact, ReferenceCount(*t, cols)) << cols.ToString();
+    EXPECT_EQ(exact, ExactDistinctCount(*t, Mirror(cols))) << cols.ToString();
+    EXPECT_EQ(GeeEstimateFromSample(sample_domains, cols, t->num_rows()),
+              GeeEstimateFromSample(**sample, Mirror(cols), t->num_rows()))
+        << cols.ToString();
+  }
+  // Alone, paired with each other and with INT64/STRING columns, the
+  // doubles' compacted radixes (11, 9, 6 + NULL) put them on the dense rung.
+  for (ColumnSet cols : {ColumnSet{0}, ColumnSet{4}, ColumnSet{0, 2},
+                         ColumnSet{0, 2, 4}, ColumnSet{0, 6}, ColumnSet{2, 7},
+                         ColumnSet{0, 2, 4, 6, 7}}) {
+    EXPECT_EQ(domains.Plan(cols).kernel, AggKernel::kDenseArray)
+        << cols.ToString();
+  }
+  EXPECT_EQ(ExactDistinctCount(domains, ColumnSet{4}), 7u);  // 6 and NULL
+}
+
+TEST(CompactedDomainTest, LineitemDiscountAndTaxTakeTheDenseBitmap) {
+  TablePtr t = GenerateLineitem({.rows = 20000, .seed = 1});
+  const ColumnSet cols{kDiscount, kTax};
+  // Raw codes: two 62-bit DOUBLE patterns, too wide even to pack.
+  EXPECT_EQ(PlanAggKernel(*t, cols).kernel, AggKernel::kMultiWord);
+  ColumnDomains domains(*t);
+  const AggKernelPlan plan = domains.Plan(cols);
+  EXPECT_EQ(plan.kernel, AggKernel::kDenseArray);
+  EXPECT_EQ(plan.dense_capacity, 128u);  // 11 * 9 = 99 slots
+  EXPECT_EQ(ExactDistinctCount(domains, cols), ReferenceCount(*t, cols));
+}
+
+TEST(CompactedDomainTest, BitPatternsStayDistinctGroups) {
+  const double nan1 = std::bit_cast<double>(uint64_t{0x7FF8000000000001});
+  const double nan2 = std::bit_cast<double>(uint64_t{0x7FF8000000000002});
+  TableBuilder b(Schema({{"d", DataType::kDouble, true},
+                         {"i", DataType::kInt64, false}}));
+  const std::vector<Value> values = {Value(-0.0), Value(0.0), Value(nan1),
+                                     Value(nan2), Value(1.0), Value(Null{})};
+  for (size_t r = 0; r < 60; ++r) {
+    ASSERT_TRUE(b.AppendRow({values[r % values.size()],
+                             Value(static_cast<int64_t>(r % 4))})
+                    .ok());
+  }
+  TablePtr t = *b.Build("bits");
+  ASSERT_EQ(std::bit_cast<uint64_t>(t->column(0).DoubleAt(3)),
+            uint64_t{0x7FF8000000000002});  // payload survived the append
+  ColumnDomains domains(*t);
+  EXPECT_EQ(domains.Plan(ColumnSet{0, 1}).kernel, AggKernel::kDenseArray);
+  EXPECT_EQ(ExactDistinctCount(domains, ColumnSet{0}), 6u);
+  EXPECT_EQ(ExactDistinctCount(domains, ColumnSet{0, 1}),
+            ReferenceCount(*t, ColumnSet{0, 1}));
+  EXPECT_EQ(GeeEstimateFromSample(domains, ColumnSet{0}, 60), 6u);
+}
+
+/// Two DOUBLE columns with `a` and `b` distinct values over max(a, b)
+/// rows, so both are compacted and their product is exactly a * b.
+TablePtr ProductTable(uint64_t a, uint64_t b) {
+  TableBuilder builder(Schema({{"x", DataType::kDouble, false},
+                               {"y", DataType::kDouble, false}}));
+  const uint64_t rows = std::max(a, b);
+  for (uint64_t r = 0; r < rows; ++r) {
+    EXPECT_TRUE(builder
+                    .AppendRow({Value(0.5 + static_cast<double>(r % a)),
+                                Value(-0.25 - static_cast<double>(r % b))})
+                    .ok());
+  }
+  return *builder.Build("product");
+}
+
+TEST(CompactedDomainTest, ProductOnEitherSideOfTheDenseBudgets) {
+  struct Case {
+    uint64_t a, b;
+    AggKernel kernel;
+  };
+  // Statistics spend a bit or a byte per slot, so their dense rung reaches
+  // past the executor's kDenseSlotBudget (2^18) up to kStatsSlotBudget.
+  static_assert(kStatsSlotBudget == uint64_t{1} << 22);
+  const Case cases[] = {
+      {512, 512, AggKernel::kDenseArray},    // == kDenseSlotBudget
+      {513, 512, AggKernel::kDenseArray},    // just past it
+      {2048, 2048, AggKernel::kDenseArray},  // == kStatsSlotBudget
+      {2049, 2048, AggKernel::kPackedKey},   // just past it
+  };
+  for (const Case& c : cases) {
+    TablePtr t = ProductTable(c.a, c.b);
+    ColumnDomains domains(*t);
+    const ColumnSet cols{0, 1};
+    const AggKernelPlan plan = domains.Plan(cols);
+    EXPECT_EQ(plan.kernel, c.kernel) << c.a << " x " << c.b;
+    if (plan.kernel == AggKernel::kDenseArray) {
+      EXPECT_EQ(plan.dense_capacity, std::bit_ceil(c.a * c.b));
+    }
+    EXPECT_EQ(ExactDistinctCount(domains, cols), ReferenceCount(*t, cols))
+        << c.a << " x " << c.b;
+    // Every row its own group: GEE sees only singletons and scales to N.
+    EXPECT_EQ(GeeEstimateFromSample(domains, cols, 1000000), 1000000u);
+  }
+  // The executor keys on raw codes and keeps its own budget: the same
+  // 513 x 512 doubles (two 62-bit patterns) cannot even pack.
+  TablePtr t = ProductTable(513, 512);
+  EXPECT_EQ(PlanAggKernel(*t, ColumnSet{0, 1}).kernel, AggKernel::kMultiWord);
 }
 
 }  // namespace
